@@ -125,10 +125,11 @@ func BenchmarkFig5aThroughputVsPool(b *testing.B) {
 // BenchmarkFig5bThroughputVsOptions — Fig. 5b: throughput vs number of
 // options m (paper: 2–10; throughput should stay nearly flat), extended with
 // the batched-vs-unbatched transport ablation: each m is measured on plain
-// channels, on authenticated channels (one signature per message), and on
-// authenticated channels over the batched pipeline (one signature per
-// batch). The signed-vs-batched delta isolates the coalescing win on the
-// LAN profile.
+// channels, on authenticated channels (one MAC tag per message), and on
+// authenticated channels over the batched pipeline (one tag per batch). The
+// signed-vs-batched delta isolates the coalescing win on the LAN profile.
+// The CI baseline gates batched-frames-ratio (frames per vote, per-message
+// over batched): a count, which runner speed cannot move.
 func BenchmarkFig5bThroughputVsOptions(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -143,8 +144,8 @@ func BenchmarkFig5bThroughputVsOptions(b *testing.B) {
 			if row.Signed > 0 {
 				lastSpeedup = row.Batched / row.Signed
 			}
-			b.Logf("m=%d plain=%.1f signed=%.1f signed+batched=%.1f op/s (batching speedup %.2fx)",
-				m, row.Plain, row.Signed, row.Batched, lastSpeedup)
+			b.Logf("m=%d plain=%.1f signed=%.1f signed+batched=%.1f op/s (batching speedup %.2fx, frames/vote %.1f -> %.1f)",
+				m, row.Plain, row.Signed, row.Batched, lastSpeedup, row.SignedFrames, row.BatchedFrames)
 			last = row
 		}
 		// votes/sec@m=10 keeps its pre-ablation meaning (the plain
@@ -152,6 +153,7 @@ func BenchmarkFig5bThroughputVsOptions(b *testing.B) {
 		b.ReportMetric(last.Plain, "votes/sec@m=10")
 		b.ReportMetric(last.Batched, "batched-votes/sec@m=10")
 		b.ReportMetric(lastSpeedup, "batched-speedup@m=10")
+		b.ReportMetric(last.FramesRatio(), "batched-frames-ratio@m=10")
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 4a,4b,4c,4d,4e,4f,5a,5b,5c,table1,ablation,pool,pool-election,store,store-election,tally,setup,all")
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast pass")
-	authenticated := flag.Bool("authenticated", false, "sign inter-VC channels (Fig4 sweeps)")
+	authenticated := flag.Bool("authenticated", false, "authenticate inter-VC channels with pairwise HMAC tags (Fig4 sweeps)")
 	batchWindow := flag.Duration("batch-window", 0,
 		"enable the batched message pipeline with this flush window (Fig4 sweeps; Fig5b always runs the batching ablation and uses this window when set)")
 	batchMax := flag.Int("batch-max", 0, "max messages per batch (0 = transport default)")

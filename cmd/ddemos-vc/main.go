@@ -10,6 +10,7 @@ package main
 
 import (
 	"context"
+	"crypto/ed25519"
 	"flag"
 	"fmt"
 	"log"
@@ -138,12 +139,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// TCPNode takes each frame's sender id from the frame itself; the MAC
+	// channel above it, keyed pairwise from the EA-issued node keys, is
+	// what stops one VC from speaking as another.
+	pubs := make(map[transport.NodeID]ed25519.PublicKey, len(init.Manifest.VCPublics))
+	for j, p := range init.Manifest.VCPublics {
+		pubs[transport.NodeID(j)] = p //nolint:gosec // small
+	}
+	signed, err := transport.NewSigned(tcp, init.Private, pubs)
+	if err != nil {
+		log.Fatal(err)
+	}
 	// Batching is symmetric: every node of a deployment must run the same
 	// -batch-window setting (the receive path splits batches regardless, but
 	// mixed settings forfeit the coalescing win).
-	var ep transport.Endpoint = tcp
+	var ep transport.Endpoint = signed
 	if *batchWindow > 0 {
-		ep = transport.NewBatcher(tcp, transport.BatcherOptions{
+		ep = transport.NewBatcher(signed, transport.BatcherOptions{
 			Window:      *batchWindow,
 			MaxMessages: *batchMax,
 			// Timer flushes have no caller to return an error to; log the
@@ -212,7 +224,7 @@ func main() {
 	}
 	node.Start()
 	defer node.Stop()
-	log.Printf("vc node %d: inter-VC on %s, voters on %s", init.Index, tcp.Addr(), *httpAddr)
+	log.Printf("vc node %d: inter-VC on %s (pairwise-MAC channels), voters on %s", init.Index, tcp.Addr(), *httpAddr)
 
 	// Public voter endpoint.
 	srv := &http.Server{Addr: *httpAddr, Handler: httpapi.VCHandler(node), ReadHeaderTimeout: 10 * time.Second}

@@ -73,8 +73,8 @@ type Config struct {
 // TransportOptions selects the inter-VC channel configuration of a figure
 // sweep; the zero value is the plain unbatched, unauthenticated network.
 type TransportOptions struct {
-	// Authenticated signs inter-VC channels (the paper's authenticated
-	// channels; one Ed25519 sign+verify per message — or per batch).
+	// Authenticated MACs inter-VC channels (the paper's authenticated
+	// channels; one HMAC tag per message — or per batch).
 	Authenticated bool
 	// BatchWindow enables the batched message pipeline when > 0.
 	BatchWindow time.Duration
@@ -95,6 +95,9 @@ type Result struct {
 	Throughput float64 // receipts per second
 	AvgLatency time.Duration
 	SetupTime  time.Duration
+	// FramesPerVote is the network frames sent while the votes were cast,
+	// per receipt — a count, so runner speed does not move it.
+	FramesPerVote float64
 }
 
 // Run executes one vote-collection benchmark.
@@ -200,6 +203,7 @@ func castWorkload(cluster *core.Cluster, data *ea.ElectionData, clients, votes i
 	var latSum atomic.Int64
 	var errs atomic.Int64
 	var wg sync.WaitGroup
+	frames0, _ := cluster.Net.Stats()
 	wall := time.Now()
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -234,6 +238,7 @@ func castWorkload(cluster *core.Cluster, data *ea.ElectionData, clients, votes i
 	}
 	wg.Wait()
 	elapsed := time.Since(wall)
+	frames1, _ := cluster.Net.Stats()
 	ok := int64(votes) - errs.Load()
 	res := &Result{
 		Votes:  int(ok),
@@ -245,6 +250,7 @@ func castWorkload(cluster *core.Cluster, data *ea.ElectionData, clients, votes i
 	}
 	if ok > 0 {
 		res.AvgLatency = time.Duration(latSum.Load() / ok)
+		res.FramesPerVote = float64(frames1-frames0) / float64(ok)
 	}
 	return res
 }

@@ -123,11 +123,24 @@ type Fig5bRow struct {
 	Options int
 	// Plain is the paper's configuration: unauthenticated, unbatched.
 	Plain float64
-	// Signed adds per-message Ed25519 channel authentication.
+	// Signed adds per-message channel authentication: one pairwise
+	// HMAC-SHA256 tag per frame (transport.Signed), no Ed25519.
 	Signed float64
 	// Batched is Signed plus the batched message pipeline — like-for-like
 	// with Signed, so the delta isolates the batching win.
 	Batched float64
+	// SignedFrames and BatchedFrames are the network frames per vote of the
+	// Signed and Batched columns; their ratio is the coalescing factor.
+	SignedFrames, BatchedFrames float64
+}
+
+// FramesRatio is the per-message configuration's frames per vote over the
+// batched one's: how many frames batching folds into one.
+func (r Fig5bRow) FramesRatio() float64 {
+	if r.BatchedFrames <= 0 {
+		return 0
+	}
+	return r.SignedFrames / r.BatchedFrames
 }
 
 // Fig5bPoint measures one m for all three channel configurations.
@@ -145,13 +158,13 @@ func Fig5bPoint(m, ballots, votes, clients int, window time.Duration, maxMsgs in
 	// transport-only.
 	base.Seed = fmt.Sprintf("fig5b-%d", m)
 	configs := []struct {
-		out  *float64
-		name string
-		tr   TransportOptions
+		out, frames *float64
+		name        string
+		tr          TransportOptions
 	}{
-		{&row.Plain, "plain", TransportOptions{}},
-		{&row.Signed, "signed", TransportOptions{Authenticated: true}},
-		{&row.Batched, "batched", TransportOptions{Authenticated: true, BatchWindow: window, BatchMaxMessages: maxMsgs}},
+		{&row.Plain, nil, "plain", TransportOptions{}},
+		{&row.Signed, &row.SignedFrames, "signed", TransportOptions{Authenticated: true}},
+		{&row.Batched, &row.BatchedFrames, "batched", TransportOptions{Authenticated: true, BatchWindow: window, BatchMaxMessages: maxMsgs}},
 	}
 	for _, c := range configs {
 		cfg := base
@@ -161,23 +174,28 @@ func Fig5bPoint(m, ballots, votes, clients int, window time.Duration, maxMsgs in
 			return row, fmt.Errorf("fig5b m=%d %s: %w", m, c.name, err)
 		}
 		*c.out = res.Throughput
+		if c.frames != nil {
+			*c.frames = res.FramesPerVote
+		}
 	}
 	return row, nil
 }
 
 // Fig5b runs the throughput-vs-options sweep with the batched-vs-unbatched
 // ablation columns: the paper's plain configuration, authenticated channels
-// (one signature per message), and authenticated channels over the batched
-// pipeline (one signature per batch). Signed vs batched is the like-for-like
-// comparison quantifying the coalescing win on the LAN profile.
+// (one MAC tag per message), and authenticated channels over the batched
+// pipeline (one tag per batch). Signed vs batched is the like-for-like
+// comparison quantifying the coalescing win on the LAN profile; the frames
+// column is the per-message configuration's frames per vote over the
+// batched one's.
 func Fig5b(w io.Writer, options []int, ballots, votes, clients int, window time.Duration, maxMsgs int) error {
 	if window <= 0 {
 		window = DefaultBatchWindow
 	}
 	fmt.Fprintf(w, "# Fig5b: throughput vs m (n=%d, %d votes, %d cc, 4 VC; batch window %v)\n",
 		ballots, votes, clients, window)
-	fmt.Fprintf(w, "%-6s %-16s %-16s %-20s %-10s\n",
-		"m", "plain(op/s)", "signed(op/s)", "signed+batched(op/s)", "speedup")
+	fmt.Fprintf(w, "%-6s %-16s %-16s %-20s %-10s %-10s\n",
+		"m", "plain(op/s)", "signed(op/s)", "signed+batched(op/s)", "speedup", "frames")
 	for _, m := range options {
 		row, err := Fig5bPoint(m, ballots, votes, clients, window, maxMsgs)
 		if err != nil {
@@ -187,8 +205,8 @@ func Fig5b(w io.Writer, options []int, ballots, votes, clients int, window time.
 		if row.Signed > 0 {
 			speedup = row.Batched / row.Signed
 		}
-		fmt.Fprintf(w, "%-6d %-16.1f %-16.1f %-20.1f %-10.2f\n",
-			m, row.Plain, row.Signed, row.Batched, speedup)
+		fmt.Fprintf(w, "%-6d %-16.1f %-16.1f %-20.1f %-10.2f %-10.2f\n",
+			m, row.Plain, row.Signed, row.Batched, speedup, row.FramesRatio())
 	}
 	return nil
 }

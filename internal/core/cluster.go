@@ -48,13 +48,15 @@ type Options struct {
 	// to a fake clock set inside the voting window, letting the caller
 	// drive phases; pass clock.Real{} for wall-clock elections.
 	Clock clock.Clock
-	// Authenticated wraps inter-VC channels with Ed25519 signing (the
-	// paper's authenticated channels). Costs one sign+verify per message —
-	// or per batch when BatchWindow is set.
+	// Authenticated wraps inter-VC channels with pairwise HMAC-SHA256 tags
+	// (the paper's authenticated channels), keyed from the EA-issued
+	// Ed25519 node keys. Costs one tag per message — or per batch when
+	// BatchWindow is set — and no Ed25519 operation; the protocol's own
+	// signatures are unaffected.
 	Authenticated bool
 	// BatchWindow enables the batched message pipeline when > 0: outgoing
 	// inter-VC messages to the same peer are coalesced for up to this window
-	// into one wire.Batch frame (and, with Authenticated, one signature).
+	// into one wire.Batch frame (and, with Authenticated, one tag).
 	// Zero keeps the unbatched per-message path.
 	BatchWindow time.Duration
 	// BatchMaxMessages flushes a batch early once it holds this many
@@ -123,6 +125,9 @@ type Cluster struct {
 	// workloads, phase drivers) may read the slice directly; anything that
 	// can race a restart goes through VC(i).
 	vcMu sync.RWMutex
+	// channels holds each VC incarnation's authenticated endpoint (nil
+	// entries without Authenticated); guarded by vcMu.
+	channels []*transport.Signed
 	// bbMu plays the same role for BBs against RestartBB. The Reader is
 	// built over forwarding handles (bbRef), so it always reaches the
 	// current incarnation without rebuilding.
@@ -181,6 +186,7 @@ func NewCluster(data *ea.ElectionData, opts Options) (*Cluster, error) {
 	man := data.Manifest
 	c.opts = opts
 	c.VCs = make([]*vc.Node, man.NumVC)
+	c.channels = make([]*transport.Signed, man.NumVC)
 	for i := 0; i < man.NumVC; i++ {
 		node, err := c.buildVC(i)
 		if err != nil {
@@ -225,7 +231,7 @@ func NewCluster(data *ea.ElectionData, opts Options) (*Cluster, error) {
 func (c *Cluster) buildVC(i int) (*vc.Node, error) {
 	data, opts, man := c.Data, c.opts, c.Data.Manifest
 	// Endpoint stack: network → Signed → Batcher, so a coalesced batch
-	// is framed and signed exactly once (DESIGN.md, "Batched message
+	// is framed and tagged exactly once (DESIGN.md, "Batched message
 	// pipeline").
 	var ep transport.Endpoint = c.Net.Endpoint(transport.NodeID(i)) //nolint:gosec // <=64
 	if opts.Authenticated {
@@ -233,7 +239,14 @@ func (c *Cluster) buildVC(i int) (*vc.Node, error) {
 		for j, p := range man.VCPublics {
 			pubs[transport.NodeID(j)] = p //nolint:gosec // <=64
 		}
-		ep = transport.NewSigned(ep, data.VC[i].Private, pubs)
+		signed, err := transport.NewSigned(ep, data.VC[i].Private, pubs)
+		if err != nil {
+			return nil, fmt.Errorf("core: vc %d channels: %w", i, err)
+		}
+		c.vcMu.Lock()
+		c.channels[i] = signed
+		c.vcMu.Unlock()
+		ep = signed
 	}
 	if opts.BatchWindow > 0 {
 		bopts := transport.BatcherOptions{
@@ -365,6 +378,21 @@ func (c *Cluster) CrashVC(index int) {
 // RestoreVC reconnects a previously crashed VC node.
 func (c *Cluster) RestoreVC(index int) {
 	c.Net.Isolate(transport.NodeID(index), false) //nolint:gosec // <=64
+}
+
+// ChannelDrops reports how many inbound inter-VC frames the authenticated
+// channels of the current VC incarnations dropped for a missing or invalid
+// tag. Honest runs keep it at zero.
+func (c *Cluster) ChannelDrops() int64 {
+	c.vcMu.RLock()
+	defer c.vcMu.RUnlock()
+	var n int64
+	for _, s := range c.channels {
+		if s != nil {
+			n += s.Dropped()
+		}
+	}
+	return n
 }
 
 // StopVC hard-stops a VC node: goroutines halted, volatile state dropped —

@@ -294,6 +294,10 @@ func TestAuthenticatedChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCounts(t, res, []int64{1, 1, 1})
+	// Every frame of an honest election carries a valid tag.
+	if d := c.ChannelDrops(); d != 0 {
+		t.Fatalf("honest election dropped %d frames at the channel layer", d)
+	}
 }
 
 func TestBatchedPipelineFullElection(t *testing.T) {
@@ -318,6 +322,9 @@ func TestBatchedPipelineFullElection(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCounts(t, res, []int64{2, 1, 1})
+	if d := c.ChannelDrops(); d != 0 {
+		t.Fatalf("honest election dropped %d frames at the channel layer", d)
+	}
 }
 
 func TestBatchedUnauthenticatedPipeline(t *testing.T) {

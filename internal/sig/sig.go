@@ -1,7 +1,8 @@
 // Package sig provides domain-separated Ed25519 signing helpers. The
 // Election Authority generates every key pair in the system (§III-D: no
-// external PKI), and all inter-node authentication reduces to these
-// signatures.
+// external PKI). Every transferable signature the protocol keeps as
+// evidence goes through these helpers; the inter-VC channels derive their
+// pairwise MAC keys from the same key pairs (transport.Signed).
 package sig
 
 import (
@@ -9,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync/atomic"
 )
 
 // KeyPair bundles an Ed25519 key pair.
@@ -62,8 +64,18 @@ func message(domain string, parts [][]byte) []byte {
 	return appendFramed(buf, parts...)
 }
 
+// signs and verifies count the Ed25519 operations of the whole process;
+// every signature in the system goes through Sign and Verify.
+var signs, verifies atomic.Uint64
+
+// Ops reports how many Ed25519 signatures the process has made and
+// checked so far. Tests and benchmarks take differences of it to pin the
+// signature cost of a code path.
+func Ops() (signed, verified uint64) { return signs.Load(), verifies.Load() }
+
 // Sign signs the domain-separated message.
 func Sign(priv ed25519.PrivateKey, domain string, parts ...[]byte) []byte {
+	signs.Add(1)
 	return ed25519.Sign(priv, message(domain, parts))
 }
 
@@ -72,6 +84,7 @@ func Verify(pub ed25519.PublicKey, sigBytes []byte, domain string, parts ...[]by
 	if len(pub) != ed25519.PublicKeySize || len(sigBytes) != ed25519.SignatureSize {
 		return false
 	}
+	verifies.Add(1)
 	return ed25519.Verify(pub, message(domain, parts), sigBytes)
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // countingStore wraps a Store, counting inner Gets and optionally stalling
@@ -43,6 +44,18 @@ func newSingleShardCache(t *testing.T, inner Store, maxBytes int64, pureLRU bool
 	return c
 }
 
+// flightWaiters reports how many Gets are waiting on the in-flight read of
+// serial.
+func flightWaiters(c *Cached, serial uint64) int {
+	s := c.shardFor(serial)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f, ok := s.flights[serial]; ok {
+		return f.waiters
+	}
+	return 0
+}
+
 // TestCacheSingleFlight: N racing Gets for one absent serial cost exactly
 // one inner read, and every caller gets the same data.
 func TestCacheSingleFlight(t *testing.T) {
@@ -54,17 +67,24 @@ func TestCacheSingleFlight(t *testing.T) {
 	var wg sync.WaitGroup
 	results := make([]*BallotData, racers)
 	errs := make([]error, racers)
-	var started sync.WaitGroup
-	started.Add(racers)
 	for i := 0; i < racers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			started.Done()
 			results[i], errs[i] = c.Get(5)
 		}(i)
 	}
-	started.Wait() // all goroutines launched; one holds the gate, rest join
+	// Park the first flight on the gate until it has reached the inner
+	// store and every other racer has provably joined it as a waiter;
+	// only then let it land.
+	deadline := time.Now().Add(10 * time.Second)
+	for inner.gets.Load() != 1 || flightWaiters(c, 5) != racers-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("racers never piled up: %d inner reads, %d waiters",
+				inner.gets.Load(), flightWaiters(c, 5))
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	close(inner.gate)
 	wg.Wait()
 	for i := 0; i < racers; i++ {
@@ -75,10 +95,8 @@ func TestCacheSingleFlight(t *testing.T) {
 			t.Fatalf("racer %d got a different ballot object", i)
 		}
 	}
-	// The gate held the first flight open until every racer was launched,
-	// but a racer may still have been scheduled after the flight finished
-	// and hit the already-admitted entry — either way, far fewer inner
-	// reads than callers, and in the common schedule exactly one.
+	// Every racer but the first waited on the first flight, so there was
+	// exactly one inner read; the bound below is the cache's contract.
 	if got := inner.gets.Load(); got > 2 {
 		t.Fatalf("%d inner reads for %d racing Gets, want 1 (2 tolerated)", got, racers)
 	}

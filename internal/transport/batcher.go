@@ -71,8 +71,7 @@ func (o BatcherOptions) withDefaults() BatcherOptions {
 //
 // Payloads must be wire frames (every inter-VC message is): the unbatching
 // path distinguishes batches by the leading wire.Kind byte. Stacked outside
-// a Signed endpoint, each flushed batch is signed and verified exactly once
-// — the batch-signing amortization of DESIGN.md's pipeline.
+// a Signed endpoint, each flushed batch is tagged and checked exactly once.
 //
 // Send never blocks on the flush: timer flushes run on their own goroutine
 // and threshold flushes run on the sender, each serialized per destination
@@ -230,7 +229,8 @@ func (b *Batcher) flushQueueLocked(to NodeID, q *destQueue) error {
 	return firstErr
 }
 
-// Flush synchronously drains every destination queue (tests, shutdown).
+// Flush synchronously drains every destination queue: shutdown, tests, and
+// senders whose frame has no companions coming (vote-set consensus rounds).
 func (b *Batcher) Flush() { b.flush(false) }
 
 func (b *Batcher) flush(try bool) {

@@ -43,6 +43,9 @@ func TestBatcherCoalescesWithinWindow(t *testing.T) {
 	if msgs, _ := net.Stats(); msgs != 1 {
 		t.Fatalf("network saw %d frames, want 1", msgs)
 	}
+	// The timer flush counts its batch after the inner Send returns, which
+	// can be after delivery. Flush waits for the link's in-flight flush.
+	a.Flush()
 	if batches, msgs := a.Stats(); batches != 1 || msgs != total {
 		t.Fatalf("batcher stats: %d batches %d msgs", batches, msgs)
 	}
@@ -173,14 +176,14 @@ func TestBatcherDropsGarbageBatches(t *testing.T) {
 }
 
 func TestBatcherOverSignedOneSignaturePerBatch(t *testing.T) {
-	// Stack order endpoint → Signed → Batcher: the batch is signed once and
-	// verified once, and unbatching yields the individual messages.
+	// Stack order endpoint → Signed → Batcher: the batch is tagged once and
+	// checked once, and unbatching yields the individual messages.
 	net := NewMemnet(LinkProfile{})
 	defer func() { _ = net.Close() }()
 	keys, pubs := makeKeys(t, 2)
 	window := 20 * time.Millisecond
-	a := NewBatcher(NewSigned(net.Endpoint(0), keys[0].Private, pubs), BatcherOptions{Window: window})
-	b := NewBatcher(NewSigned(net.Endpoint(1), keys[1].Private, pubs), BatcherOptions{Window: window})
+	a := NewBatcher(newSigned(t, net.Endpoint(0), keys[0].Private, pubs), BatcherOptions{Window: window})
+	b := NewBatcher(newSigned(t, net.Endpoint(1), keys[1].Private, pubs), BatcherOptions{Window: window})
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 
@@ -200,7 +203,7 @@ func TestBatcherOverSignedOneSignaturePerBatch(t *testing.T) {
 			t.Fatalf("message %d arrived as %d", i, got)
 		}
 	}
-	// One network frame: 64-byte signature + one batch envelope.
+	// One network frame: one MAC tag + one batch envelope.
 	msgs, bytes := net.Stats()
 	if msgs != 1 {
 		t.Fatalf("network saw %d frames, want 1", msgs)
@@ -209,7 +212,7 @@ func TestBatcherOverSignedOneSignaturePerBatch(t *testing.T) {
 	for i := 0; i < total; i++ {
 		inner += int64(len(testFrame(i)))
 	}
-	if overhead := bytes - inner; overhead > 64+6*int64(total)+16 {
+	if overhead := bytes - inner; overhead > TagSize+6*int64(total)+16 {
 		t.Fatalf("batch overhead %d bytes for %d messages", overhead, total)
 	}
 }

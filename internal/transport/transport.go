@@ -11,15 +11,15 @@
 //   - TCP: a real TCP transport with length-prefixed frames for multi-process
 //     deployments (cmd/ddemos-vc and friends).
 //
-// The Signed wrapper adds Ed25519 authentication using the EA-issued node
-// keys, realizing the paper's "private and authenticated channels" between
-// VC nodes without external PKI.
+// The Signed wrapper adds pairwise HMAC-SHA256 authentication keyed from
+// the EA-issued node keys, realizing the paper's "private and authenticated
+// channels" between VC nodes without external PKI.
 //
 // The Batcher wrapper coalesces outgoing payloads per destination within a
 // flush window into single wire.Batch frames and splits inbound batches back
 // into individual envelopes — the transport stage of the batched message
 // pipeline (DESIGN.md). Stacking order is endpoint → Signed → Batcher, so an
-// entire batch is authenticated by one signature.
+// entire batch is authenticated by one tag.
 package transport
 
 import (

@@ -1,13 +1,10 @@
 package transport
 
 import (
-	"crypto/ed25519"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
-
-	"ddemos/internal/sig"
 )
 
 func recvWithTimeout(t *testing.T, ep Endpoint, d time.Duration) Envelope {
@@ -269,102 +266,6 @@ func TestMulticast(t *testing.T) {
 	case <-eps[0].Recv():
 		t.Fatal("sender received own multicast")
 	case <-time.After(20 * time.Millisecond):
-	}
-}
-
-func makeKeys(t *testing.T, n int) ([]sig.KeyPair, map[NodeID]ed25519.PublicKey) {
-	t.Helper()
-	keys := make([]sig.KeyPair, n)
-	pubs := make(map[NodeID]ed25519.PublicKey, n)
-	for i := range keys {
-		kp, err := sig.NewKeyPair(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys[i] = kp
-		pubs[NodeID(i)] = kp.Public
-	}
-	return keys, pubs
-}
-
-func TestSignedEndpointRoundTrip(t *testing.T) {
-	net := NewMemnet(LinkProfile{})
-	defer func() { _ = net.Close() }()
-	keys, pubs := makeKeys(t, 2)
-	a := NewSigned(net.Endpoint(0), keys[0].Private, pubs)
-	b := NewSigned(net.Endpoint(1), keys[1].Private, pubs)
-	if err := a.Send(1, []byte("signed")); err != nil {
-		t.Fatal(err)
-	}
-	env := recvWithTimeout(t, b, time.Second)
-	if string(env.Payload) != "signed" || env.From != 0 {
-		t.Fatalf("got %+v", env)
-	}
-	if b.Dropped() != 0 {
-		t.Fatal("no drops expected")
-	}
-}
-
-func TestSignedEndpointRejectsForgery(t *testing.T) {
-	net := NewMemnet(LinkProfile{})
-	defer func() { _ = net.Close() }()
-	keys, pubs := makeKeys(t, 3)
-	b := NewSigned(net.Endpoint(1), keys[1].Private, pubs)
-	// Node 2 signs with its own key but claims... it IS node 2, so instead
-	// forge: raw endpoint 0 sends junk without a signature.
-	raw := net.Endpoint(0)
-	if err := raw.Send(1, []byte("unsigned junk")); err != nil {
-		t.Fatal(err)
-	}
-	// And node 2 sends a message signed with the wrong key for its id by
-	// constructing a Signed endpoint with a mismatched private key.
-	evil := NewSigned(net.Endpoint(2), keys[0].Private, pubs)
-	if err := evil.Send(1, []byte("forged")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case env := <-b.Recv():
-		t.Fatalf("forged message delivered: %+v", env)
-	case <-time.After(100 * time.Millisecond):
-	}
-	if b.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", b.Dropped())
-	}
-}
-
-func TestSignedEndpointCannotReplayAcrossRoutes(t *testing.T) {
-	// A signature for route 0->1 must not verify on route 0->2: capture a
-	// signed frame and replay it to another destination.
-	net := NewMemnet(LinkProfile{})
-	defer func() { _ = net.Close() }()
-	keys, pubs := makeKeys(t, 3)
-	a := NewSigned(net.Endpoint(0), keys[0].Private, pubs)
-	b := NewSigned(net.Endpoint(1), keys[1].Private, pubs)
-	c := NewSigned(net.Endpoint(2), keys[2].Private, pubs)
-
-	if err := a.Send(1, []byte("for b only")); err != nil {
-		t.Fatal(err)
-	}
-	env := recvWithTimeout(t, b, time.Second)
-	// Adversary re-signs nothing; it just forwards the authenticated payload
-	// via a raw endpoint pretending to be node 0.
-	raw := net.Endpoint(3)
-	_ = raw
-	// Rebuild the signed frame: we don't have it (b strips it), so simulate
-	// the replay by signing for route 0->1 and delivering to 2 through the
-	// raw network. The Signed layer at 2 must reject it.
-	sg := sig.SignBatch(keys[0].Private, sigDomain, routeBytes(0, 1), env.Payload)
-	frame := append(append([]byte{}, sg...), env.Payload...)
-	if err := net.Endpoint(0).Send(2, frame); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-c.Recv():
-		t.Fatalf("replayed message accepted: %+v", got)
-	case <-time.After(100 * time.Millisecond):
-	}
-	if c.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", c.Dropped())
 	}
 }
 

@@ -135,7 +135,11 @@ func batchedStack(opts transport.BatcherOptions) func(int, *ea.ElectionData, tra
 			pubs[transport.NodeID(j)] = p //nolint:gosec // small
 		}
 		opts.Timers = tm
-		return transport.NewBatcher(transport.NewSigned(ep, data.VC[i].Private, pubs), opts)
+		signed, err := transport.NewSigned(ep, data.VC[i].Private, pubs)
+		if err != nil {
+			panic(err) // EA-issued keys always yield channel keys
+		}
+		return transport.NewBatcher(signed, opts)
 	}
 }
 
@@ -301,5 +305,29 @@ func TestBatchedFaultInjectionAtMostOneUCert(t *testing.T) {
 				t.Errorf("ballot %d: node %d certified a different code", serial, i)
 			}
 		}
+	}
+}
+
+// TestConsensusFramesSkipBatchWindow: vote-set consensus frames each carry
+// a whole step for every ballot, so they must not wait out the batch
+// window. With a window far longer than the link latency, the whole
+// consensus phase must finish in less virtual time than one window.
+func TestConsensusFramesSkipBatchWindow(t *testing.T) {
+	const window = 50 * time.Millisecond
+	c := newClusterStack(t, 4, 4,
+		transport.LinkProfile{Latency: 200 * time.Microsecond},
+		batchedStack(transport.BatcherOptions{Window: window}))
+	for i := 0; i < 4; i++ {
+		if _, err := c.vote(uint64(i+1), ballot.PartA, i%2, i); err != nil {
+			t.Fatalf("vote %d: %v", i+1, err)
+		}
+	}
+	start := c.drv.Elapsed()
+	sets := runConsensusAll(t, c, 1, nil, 4)
+	if got := assertSetsEqual(t, sets, nil); len(got) != 4 {
+		t.Fatalf("agreed on %d ballots, want 4", len(got))
+	}
+	if el := c.drv.Elapsed() - start; el >= window {
+		t.Fatalf("consensus took %v of virtual time; its frames waited for the %v batch window", el, window)
 	}
 }

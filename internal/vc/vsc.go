@@ -85,11 +85,7 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 	eng, err := n.engine(EngineConfig{
 		N: n.nv, F: n.fv, Self: n.self, Ballots: count,
 		Coin: n.coin, Clock: n.clk,
-		Send: func(frame []byte) {
-			if err := transport.Multicast(n.ep, n.peers, frame); err != nil {
-				n.metrics.SendErrors.Add(1)
-			}
-		},
+		Send:     n.multicastRound,
 		Validate: n.validEntry,
 		Adopt:    n.adoptEntry,
 	})
@@ -130,10 +126,7 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 		own = nil // withhold everything
 	}
 	e.onAnnounce(n.self, &wire.Announce{Sender: n.self, Entries: own})
-	frame := wire.Encode(&wire.Announce{Sender: n.self, Entries: own})
-	if err := transport.Multicast(n.ep, n.peers, frame); err != nil {
-		n.metrics.SendErrors.Add(1)
-	}
+	n.multicastRound(wire.Encode(&wire.Announce{Sender: n.self, Entries: own}))
 	for _, bm := range buffered {
 		e.handle(bm.from, bm.msg)
 	}
@@ -217,6 +210,22 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 		return nil, fmt.Errorf("vc: %d ballots decided voted but only %d codes known", decidedOnes, len(set))
 	}
 	return n.finishConsensus(set, &succeeded)
+}
+
+// multicastRound sends a consensus-phase frame to every peer without
+// waiting for a batch window. Each such frame already carries a whole step
+// for every ballot (one ANNOUNCE, one engine message per round), so nothing
+// would join it in a batch; the window would only add a timer wait to every
+// hop of a latency-bound phase. Sub-millisecond timers cost about 1 ms once
+// the runtime goes idle (it sleeps in whole milliseconds), which is most of
+// a consensus hop.
+func (n *Node) multicastRound(frame []byte) {
+	if err := transport.Multicast(n.ep, n.peers, frame); err != nil {
+		n.metrics.SendErrors.Add(1)
+	}
+	if b, ok := n.ep.(*transport.Batcher); ok {
+		b.Flush()
+	}
 }
 
 // batchResult carries a consensus batch outcome across the select.
@@ -616,10 +625,7 @@ func (e *vscEngine) recover(ctx context.Context, decisions []byte) error {
 			return nil
 		}
 		e.n.metrics.Recoveries.Add(int64(len(serials)))
-		frame := wire.Encode(&wire.RecoverRequest{Serials: serials})
-		if err := transport.Multicast(e.n.ep, e.n.peers, frame); err != nil {
-			e.n.metrics.SendErrors.Add(1)
-		}
+		e.n.multicastRound(wire.Encode(&wire.RecoverRequest{Serials: serials}))
 		// Pace the retransmission on the node's injected clock, so a
 		// simulated election retries in virtual time instead of parking a
 		// goroutine on a wall-clock timer the simulator cannot see. For
